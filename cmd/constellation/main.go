@@ -94,7 +94,9 @@ func main() {
 		ran = true
 		lat, lon := parseFloatPair(*visible)
 		p := geo.NewPoint(lat, lon)
-		sats := c.VisibleFrom(nil, p, *at)
+		var sky orbit.Sky
+		c.SkyAt(&sky, *at)
+		sats := sky.Visible(nil, orbit.NewSite(p))
 		fmt.Printf("# %d satellites visible from %s at t=%.0fs\n", len(sats), p, *at)
 		for _, id := range sats {
 			pl, sl := c.PlaneSlot(id)

@@ -147,10 +147,16 @@ func Fig5b(e *Env) string {
 	// §3.1: "a Starlink client often has 10+ satellites in view" — histogram
 	// the visible-satellite count across cities and an orbital period.
 	hist := stats.MustNewHistogram(0, 24, 12)
+	sites := make([]orbit.Site, len(e.Cities))
+	for i, city := range e.Cities {
+		sites[i] = orbit.NewSite(city.Point)
+	}
+	var sky orbit.Sky
 	var buf []orbit.SatID
-	for _, city := range e.Cities {
-		for t := 0.0; t < cfg.PeriodSec(); t += 300 {
-			buf = c.VisibleFrom(buf[:0], city.Point, t)
+	for t := 0.0; t < cfg.PeriodSec(); t += 300 {
+		c.SkyAt(&sky, t)
+		for _, site := range sites {
+			buf = sky.Visible(buf[:0], site)
 			hist.Add(float64(len(buf)))
 		}
 	}

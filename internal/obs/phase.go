@@ -10,8 +10,8 @@ import (
 
 // PhaseProfiler is the deterministic per-stage timer for a request pipeline:
 // it attributes wall-clock cost to the named stages of the sim hot path
-// (scheduler lookup, hash ownership, cache op, relay/ground path, shed tick,
-// obs emit) or the replayer round trip (dial, frame-write, frame-read,
+// (scheduler epoch advance, scheduler lookup, hash ownership, cache op,
+// relay/ground path, shed tick, obs emit) or the replayer round trip (dial, frame-write, frame-read,
 // retry), and exposes the attribution two ways — per-epoch seconds
 // histograms under starcdn_phase_stage_seconds{pipeline,stage} and a
 // whole-run Breakdown for reports.
@@ -25,9 +25,9 @@ import (
 //
 // Per-request cost when enabled is one monotonic-clock read per stage
 // boundary (a mark chain: each Mark both closes the previous stage and opens
-// the next), which is what keeps the profiler inside its ≤2% overhead budget
-// on the ~17µs/request sim hot path (see BENCH_obs.json,
-// metrics+phases+runtime variant).
+// the next) — a fixed cost per request, so its share grows as the sim hot
+// path gets faster (see BENCH_obs.json, metrics+phases+runtime variant, for
+// the measured ns/request).
 //
 // Aggregation is epoch-based: marks accumulate nanoseconds per stage;
 // FlushEpoch drains the accumulators into the histograms (one observation =
@@ -53,11 +53,14 @@ var DefPhaseBucketsSec = []float64{
 }
 
 // Sim pipeline stage indices, aligned with SimPhaseStages. The runner marks
-// shed/sched/obs; the StarCDN policy marks hash/cache/relay as the request
-// traverses Serve (policies without internal marks leave their serve time
-// attributed to the obs stage).
+// shed/epoch/sched/obs; the StarCDN policy marks hash/cache/relay as the
+// request traverses Serve (policies without internal marks leave their serve
+// time attributed to the obs stage). The epoch stage is marked only on the
+// request that crosses an epoch boundary, so per-epoch work (orbit table,
+// visibility, assignment) is reported apart from per-request work.
 const (
 	PhaseSimShed  = iota // failure cursor, shed-controller tick, recorder tick
+	PhaseSimEpoch        // scheduler epoch advance: orbit table and assignments
 	PhaseSimSched        // first-contact lookup through pre-serve setup
 	PhaseSimHash         // bucket ownership, shed checks, ISL route latency
 	PhaseSimCache        // owner cache get
@@ -77,7 +80,7 @@ const (
 // of the two instrumented pipelines, indexed by the PhaseSim*/PhaseReplay*
 // constants.
 var (
-	SimPhaseStages    = []string{"shed", "sched", "hash", "cache", "relay", "obs"}
+	SimPhaseStages    = []string{"shed", "epoch", "sched", "hash", "cache", "relay", "obs"}
 	ReplayPhaseStages = []string{"dial", "frame-write", "frame-read", "retry"}
 )
 

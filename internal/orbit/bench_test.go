@@ -14,13 +14,26 @@ func BenchmarkSubSatellitePoint(b *testing.B) {
 	}
 }
 
-func BenchmarkVisibleFrom(b *testing.B) {
+// BenchmarkSkyAt is one epoch's orbit table: every slot propagated once.
+func BenchmarkSkyAt(b *testing.B) {
 	c := MustNew(DefaultStarlinkShell())
-	ny := geo.NewPoint(40.713, -74.006)
+	var sky Sky
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c.SkyAt(&sky, float64(i%5700))
+	}
+}
+
+// BenchmarkSkyVisible is one site's visibility query against a built table.
+func BenchmarkSkyVisible(b *testing.B) {
+	c := MustNew(DefaultStarlinkShell())
+	var sky Sky
+	c.SkyAt(&sky, 1000)
+	site := NewSite(geo.NewPoint(40.713, -74.006))
 	buf := make([]SatID, 0, 32)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = c.VisibleFrom(buf[:0], ny, float64(i%5700))
+		buf = sky.Visible(buf[:0], site)
 	}
 }

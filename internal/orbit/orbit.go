@@ -9,6 +9,17 @@
 // planes inclined at 53°, 18 slots per plane (1,296 slots), 550 km altitude,
 // with 126 out-of-slot satellites leaving 1,170 active — the constellation
 // state the paper measured from CelesTrak and starlink.sx.
+//
+// Visibility is answered from a per-epoch orbit table. Satellite positions do
+// not depend on the observer, so SkyAt propagates every slot once into an
+// Earth-centred unit vector, and Sky.Visible tests each active slot with one
+// dot product against cos(coverage angle) — no trigonometry per (user,
+// satellite) pair. Inside a ±1e-9 guard band around the threshold the query
+// falls back to the exact haversine comparison the table replaced. Both
+// computations carry rounding error many orders of magnitude below the band,
+// so outside it they cannot disagree and inside it the haversine decides:
+// the visibility sets are identical to the haversine path by construction.
+// The test suite keeps that haversine query as a differential oracle.
 package orbit
 
 import (
@@ -219,19 +230,86 @@ func (c *Constellation) SubSatellitePoint(id SatID, tSec float64) geo.Point {
 // CoverageAngleRad returns the angular radius of each satellite's footprint.
 func (c *Constellation) CoverageAngleRad() float64 { return c.coverageRad }
 
-// VisibleFrom returns the active satellites visible from ground point p at
-// time tSec (elevation above the configured mask), appended to dst to allow
-// allocation reuse across epochs.
-func (c *Constellation) VisibleFrom(dst []SatID, p geo.Point, tSec float64) []SatID {
-	for i := range c.active {
-		if !c.active[i] {
+// skyGuard is the half-width of the band around cos(coverage) inside which
+// Sky.Visible defers to the exact haversine comparison. The dot product and
+// the haversine both carry rounding error of order 1e-13 (the argument of
+// latitude is formed by the same expression on both paths, and every later
+// step is a handful of well-conditioned float64 operations; the error grows
+// only with |u|, and stays below 1e-11 after a simulated year), so outside
+// the band the two tests cannot disagree.
+const skyGuard = 1e-9
+
+// Site is a ground point prepared for sky queries: the point itself (for the
+// exact fallback) and its Earth-centred unit vector (for the dot product).
+type Site struct {
+	Point   geo.Point
+	x, y, z float64
+}
+
+// NewSite prepares ground point p for Sky.Visible.
+func NewSite(p geo.Point) Site {
+	sinLat, cosLat := math.Sincos(geo.Radians(p.LatDeg))
+	sinLon, cosLon := math.Sincos(geo.Radians(p.LonDeg))
+	return Site{Point: p, x: cosLat * cosLon, y: cosLat * sinLon, z: sinLat}
+}
+
+// Sky is one epoch's orbit table: the Earth-centred unit vector of every
+// slot's sub-satellite point at a single instant. Satellite positions do not
+// depend on the observer, so one table answers the visibility query for
+// every ground site in an epoch. A Sky holds no activity state: Visible reads
+// the constellation's active mask at query time. The zero value is empty;
+// fill it with Constellation.SkyAt, reusing the same Sky across epochs.
+type Sky struct {
+	c      *Constellation
+	tSec   float64
+	cosCov float64
+	dir    [][3]float64 // per SatID
+}
+
+// SkyAt propagates every slot once to time tSec and stores the result in
+// dst, reusing dst's storage.
+func (c *Constellation) SkyAt(dst *Sky, tSec float64) {
+	dst.c, dst.tSec, dst.cosCov = c, tSec, math.Cos(c.coverageRad)
+	dst.dir = dst.dir[:0]
+	sinI, cosI := math.Sincos(c.inclination)
+	for plane := 0; plane < c.cfg.Planes; plane++ {
+		// The node of the plane in the Earth-fixed frame; the sub-satellite
+		// direction is the in-plane vector (cos u, cos i·sin u, sin i·sin u)
+		// rotated about the pole by this angle — the same point
+		// SubSatellitePoint reaches through asin/atan2.
+		sinT, cosT := math.Sincos(float64(plane)*c.raanStep - EarthRotationRadPerSec*tSec)
+		for slot := 0; slot < c.cfg.SatsPerPlane; slot++ {
+			u := float64(slot)*c.slotStep + float64(plane)*c.phaseStep + c.meanMotion*tSec
+			sinU, cosU := math.Sincos(u)
+			ey := cosI * sinU
+			dst.dir = append(dst.dir, [3]float64{cosT*cosU - sinT*ey, sinT*cosU + cosT*ey, sinI * sinU})
+		}
+	}
+}
+
+// Visible appends to dst the active satellites visible from site (elevation
+// above the configured mask), in SatID order, and returns the extended slice.
+//
+// The test is dot(site, sat) > cos(coverage). Inside a ±skyGuard band
+// around the threshold it falls back to the exact haversine comparison
+// geo.CentralAngleRad(site, sub-satellite point) <= coverage, so the result
+// is the same set the haversine alone produces, not an approximation of it.
+func (s *Sky) Visible(dst []SatID, site Site) []SatID {
+	if s.c == nil {
+		return dst
+	}
+	active := s.c.active[:len(s.dir)]
+	lo, hi := s.cosCov-skyGuard, s.cosCov+skyGuard
+	for i := range s.dir {
+		d := &s.dir[i]
+		dot := site.x*d[0] + site.y*d[1] + site.z*d[2]
+		if dot < lo || !active[i] {
 			continue
 		}
-		id := SatID(i)
-		sp := c.SubSatellitePoint(id, tSec)
-		if geo.CentralAngleRad(p, sp) <= c.coverageRad {
-			dst = append(dst, id)
+		if dot <= hi && geo.CentralAngleRad(site.Point, s.c.SubSatellitePoint(SatID(i), s.tSec)) > s.c.coverageRad {
+			continue
 		}
+		dst = append(dst, SatID(i))
 	}
 	return dst
 }

@@ -203,8 +203,11 @@ func TestVisibleFrom(t *testing.T) {
 	ny := geo.NewPoint(40.713, -74.006)
 	counts := 0
 	samples := 0
+	site := NewSite(ny)
+	var sky Sky
 	for tSec := 0.0; tSec < 5700; tSec += 300 {
-		sats := c.VisibleFrom(nil, ny, tSec)
+		c.SkyAt(&sky, tSec)
+		sats := sky.Visible(nil, site)
 		if len(sats) == 0 {
 			t.Errorf("no visible satellites over New York at t=%v", tSec)
 		}
@@ -224,9 +227,10 @@ func TestVisibleFrom(t *testing.T) {
 	if avg < 3 {
 		t.Errorf("average visible sats = %.1f, want >= 3", avg)
 	}
-	// Inactive satellites must never be reported.
+	// Inactive satellites must never be reported, and the table reads the
+	// mask at query time: no re-propagation is needed after an outage.
 	c.ApplyOutageMask(c.NumSlots(), 1)
-	if got := c.VisibleFrom(nil, ny, 0); len(got) != 0 {
+	if got := sky.Visible(nil, site); len(got) != 0 {
 		t.Errorf("all sats inactive but %d visible", len(got))
 	}
 }
@@ -234,10 +238,16 @@ func TestVisibleFrom(t *testing.T) {
 func TestVisibleFromReuseBuffer(t *testing.T) {
 	c := MustNew(testShell())
 	ny := geo.NewPoint(40.713, -74.006)
+	var sky Sky
+	c.SkyAt(&sky, 0)
 	buf := make([]SatID, 0, 64)
-	a := c.VisibleFrom(buf, ny, 0)
-	b := c.VisibleFrom(a[:0], ny, 0)
-	if len(a) != len(b) {
+	a := append([]SatID(nil), sky.Visible(buf, NewSite(ny))...)
+	// Refilling the table for another instant and back must not leave stale
+	// rows behind.
+	c.SkyAt(&sky, 3000)
+	c.SkyAt(&sky, 0)
+	b := sky.Visible(buf[:0], NewSite(ny))
+	if !equalIDs(a, b) {
 		t.Errorf("buffer reuse changed result: %d vs %d", len(a), len(b))
 	}
 }

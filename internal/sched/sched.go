@@ -22,10 +22,11 @@ type Scheduler struct {
 	c        *orbit.Constellation
 	epochSec float64
 	seed     uint64
-	users    []geo.Point
+	sites    []orbit.Site
 	// cache of the current epoch's assignments
 	epochIdx    int64
 	assignments []orbit.SatID // -1 when no satellite is visible
+	sky         orbit.Sky     // reused orbit table, refilled per epoch
 	visBuf      []orbit.SatID
 }
 
@@ -45,9 +46,12 @@ func New(c *orbit.Constellation, users []geo.Point, epochSec float64, seed int64
 		c:           c,
 		epochSec:    epochSec,
 		seed:        uint64(seed),
-		users:       append([]geo.Point(nil), users...),
+		sites:       make([]orbit.Site, len(users)),
 		epochIdx:    -1,
 		assignments: make([]orbit.SatID, len(users)),
+	}
+	for i, p := range users {
+		s.sites[i] = orbit.NewSite(p)
 	}
 	return s, nil
 }
@@ -56,19 +60,29 @@ func New(c *orbit.Constellation, users []geo.Point, epochSec float64, seed int64
 func (s *Scheduler) EpochSec() float64 { return s.epochSec }
 
 // NumUsers returns the number of user terminals.
-func (s *Scheduler) NumUsers() int { return len(s.users) }
+func (s *Scheduler) NumUsers() int { return len(s.sites) }
+
+// Advance brings the assignments to the epoch containing tSec and reports
+// whether that took a recompute (one orbit table plus one visibility query
+// per user). FirstContact advances on its own; callers that account epoch
+// work separately from request work call Advance first.
+func (s *Scheduler) Advance(tSec float64) bool {
+	epoch := int64(tSec / s.epochSec)
+	if epoch == s.epochIdx {
+		return false
+	}
+	s.recompute(epoch)
+	return true
+}
 
 // FirstContact returns the satellite assigned to user u at time tSec, and
 // whether any satellite is in view. Assignments are stable within an epoch
 // and deterministic in (seed, user, epoch).
 func (s *Scheduler) FirstContact(u int, tSec float64) (orbit.SatID, bool) {
-	if u < 0 || u >= len(s.users) {
+	if u < 0 || u >= len(s.sites) {
 		return -1, false
 	}
-	epoch := int64(tSec / s.epochSec)
-	if epoch != s.epochIdx {
-		s.recompute(epoch)
-	}
+	s.Advance(tSec)
 	id := s.assignments[u]
 	return id, id >= 0
 }
@@ -76,12 +90,14 @@ func (s *Scheduler) FirstContact(u int, tSec float64) (orbit.SatID, bool) {
 // recompute reassigns every user for the new epoch. Per §5.1 the scheduler
 // "splits all requests within the discrete time step to different
 // satellites": each user picks uniformly among its visible satellites,
-// re-randomised each epoch.
+// re-randomised each epoch. The constellation is propagated once into the
+// epoch's orbit table; the active mask is read now, so failures applied
+// before this epoch's first request are honoured.
 func (s *Scheduler) recompute(epoch int64) {
 	s.epochIdx = epoch
-	t := float64(epoch) * s.epochSec
-	for u := range s.users {
-		s.visBuf = s.c.VisibleFrom(s.visBuf[:0], s.users[u], t)
+	s.c.SkyAt(&s.sky, float64(epoch)*s.epochSec)
+	for u := range s.sites {
+		s.visBuf = s.sky.Visible(s.visBuf[:0], s.sites[u])
 		if len(s.visBuf) == 0 {
 			s.assignments[u] = -1
 			continue
@@ -94,10 +110,12 @@ func (s *Scheduler) recompute(epoch int64) {
 // VisibleCount returns how many satellites user u sees at tSec (for
 // diagnostics and tests).
 func (s *Scheduler) VisibleCount(u int, tSec float64) int {
-	if u < 0 || u >= len(s.users) {
+	if u < 0 || u >= len(s.sites) {
 		return 0
 	}
-	return len(s.c.VisibleFrom(nil, s.users[u], tSec))
+	var sky orbit.Sky
+	s.c.SkyAt(&sky, tSec)
+	return len(sky.Visible(nil, s.sites[u]))
 }
 
 // mix is a splitmix64-style hash of three words.

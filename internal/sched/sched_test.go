@@ -57,8 +57,10 @@ func TestFirstContactStableWithinEpoch(t *testing.T) {
 		}
 		if okA {
 			// Assigned satellite must actually be visible.
+			var sky orbit.Sky
+			c.SkyAt(&sky, 90)
 			found := false
-			for _, v := range c.VisibleFrom(nil, users[u], 90) {
+			for _, v := range sky.Visible(nil, orbit.NewSite(users[u])) {
 				if v == a {
 					found = true
 				}
@@ -171,5 +173,50 @@ func TestUniformSpreadAcrossVisible(t *testing.T) {
 	}
 	if len(seen) < 3 {
 		t.Errorf("NY user stuck on %d satellites over 30 epochs", len(seen))
+	}
+}
+
+// TestAdvanceReportsRecomputes: Advance recomputes exactly once per epoch
+// crossing, and FirstContact after an explicit Advance returns the same
+// assignment it would have computed on its own.
+func TestAdvanceReportsRecomputes(t *testing.T) {
+	c, users := setup(t)
+	explicit, _ := New(c, users, 15, 3)
+	implicit, _ := New(c, users, 15, 3)
+	for _, tc := range []struct {
+		t    float64
+		want bool
+	}{{0, true}, {7, false}, {14.9, false}, {15, true}, {300, true}, {301, false}} {
+		if got := explicit.Advance(tc.t); got != tc.want {
+			t.Errorf("Advance(%v) = %v, want %v", tc.t, got, tc.want)
+		}
+		for u := range users {
+			a, okA := explicit.FirstContact(u, tc.t)
+			b, okB := implicit.FirstContact(u, tc.t)
+			if a != b || okA != okB {
+				t.Fatalf("t=%v user %d: advanced %d/%v, implicit %d/%v", tc.t, u, a, okA, b, okB)
+			}
+		}
+	}
+}
+
+// TestOutageReadAtRecompute: the active mask is read when an epoch is
+// recomputed, so a satellite failed between epochs is never assigned in the
+// next one, while the current epoch's assignments stay stable.
+func TestOutageReadAtRecompute(t *testing.T) {
+	c, users := setup(t)
+	s, _ := New(c, users, 15, 11)
+	first, ok := s.FirstContact(4, 0) // New York
+	if !ok {
+		t.Fatal("New York sees no satellite at t=0")
+	}
+	c.SetActive(first, false)
+	if again, _ := s.FirstContact(4, 10); again != first {
+		t.Errorf("assignment changed within the epoch: %d -> %d", first, again)
+	}
+	for e := 1; e < 20; e++ {
+		if id, ok := s.FirstContact(4, float64(e)*15); ok && id == first {
+			t.Fatalf("epoch %d assigned failed satellite %d", e, id)
+		}
 	}
 }

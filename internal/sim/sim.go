@@ -79,9 +79,10 @@ type Config struct {
 	// are byte-identical with the recorder on or off.
 	Recorder *obs.Recorder
 	// Phases, when non-nil, attributes the run's wall-clock cost to the
-	// pipeline stages (shed tick, scheduler lookup, hash ownership, cache op,
-	// relay/ground path, obs emit). Build it with obs.NewSimPhases — the
-	// runner and the StarCDN policy mark the obs.PhaseSim* stage indices.
+	// pipeline stages (shed tick, scheduler epoch advance, scheduler lookup,
+	// hash ownership, cache op, relay/ground path, obs emit). Build it with
+	// obs.NewSimPhases — the runner and the StarCDN policy mark the
+	// obs.PhaseSim* stage indices.
 	// Marks only read the monotonic clock into write-only accumulators — no
 	// RNG, no simulation state — so results are byte-identical with phases on
 	// or off. Bind the profiler to Recorder (BindRecorder) to flush stage
@@ -192,6 +193,12 @@ func Run(c *orbit.Constellation, users []geo.Point, tr *trace.Trace, p Policy, c
 		}
 		cfg.Recorder.TickAt(r.TimeSec)
 		pc.Mark(obs.PhaseSimShed)
+		// Epoch work runs here, after this request's failures are applied
+		// (the new epoch reads the active mask), and is charged to its own
+		// stage rather than to the lookup of whichever request crossed.
+		if scheduler.Advance(r.TimeSec) {
+			pc.Mark(obs.PhaseSimEpoch)
+		}
 		first, visible := scheduler.FirstContact(r.Location, r.TimeSec)
 		if !visible {
 			first = -1

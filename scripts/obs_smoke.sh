@@ -24,6 +24,8 @@
 #      /metrics exposes starcdn_phase_stage_seconds histograms and
 #      starcdn_go_* runtime gauges, /healthz carries the compact runtime
 #      line, and the replay prints its end-of-run phase breakdown
+#  10. the sim pipeline's phase breakdown (starcdn-sim -phases) names every
+#      stage of obs.SimPhaseStages, per-epoch scheduler work included
 #
 # Usage: scripts/obs_smoke.sh   (or `make obs`)
 set -eu
@@ -48,6 +50,7 @@ trap cleanup EXIT INT TERM
 step "build tools"
 go build -o "$WORK/spacegen" ./cmd/spacegen
 go build -o "$WORK/starcdn-replay" ./cmd/starcdn-replay
+go build -o "$WORK/starcdn-sim" ./cmd/starcdn-sim
 go build -o "$WORK/starcdn-trace" ./cmd/starcdn-trace
 
 step "generate trace (4000 web requests)"
@@ -237,5 +240,21 @@ if grep -q '^untraced:' "$WORK/assemble.out"; then
 	exit 1
 fi
 sed 's/^/   /' "$WORK/assemble.out" | head -15
+
+step "sim phase breakdown (starcdn-sim -phases)"
+"$WORK/starcdn-sim" -experiment fig10-l9 -requests 4000 -phases >"$WORK/sim.out"
+grep -q '^phase breakdown (sim):' "$WORK/sim.out" || {
+	echo "sim output missing its phase breakdown" >&2
+	tail -20 "$WORK/sim.out" >&2
+	exit 1
+}
+for stage in shed epoch sched hash cache relay obs; do
+	grep -q "^  $stage  " "$WORK/sim.out" || {
+		echo "sim phase breakdown missing stage $stage" >&2
+		sed -n '/^phase breakdown/,$p' "$WORK/sim.out" >&2
+		exit 1
+	}
+done
+sed -n '/^phase breakdown/,$p' "$WORK/sim.out" | sed 's/^/   /'
 
 step "obs smoke passed"
