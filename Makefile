@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test check lint waivers shardaudit allocaudit fmt bench bench-check bench-update debug-test race chaos obs clean
+.PHONY: all build test check lint waivers shardaudit allocaudit fmt bench bench-check bench-update debug-test race chaos fuzz obs clean
 
 all: build
 
@@ -77,6 +77,13 @@ chaos:
 	$(GO) test -race -tags starcdn_debug -count=1 \
 		-run 'TestChaos|TestGenerateChaos|TestFault|TestClientRetries|TestClientExhausts|TestClientDeadline|TestServerSide|TestReplayDeadServer|TestFailureSchedule' \
 		./internal/replayer/ ./internal/sim/
+
+## fuzz: run every fuzz target briefly — its seed corpus, then 10s of
+## generated inputs — as check.sh's fuzz smoke does.
+fuzz:
+	$(GO) test -run='^$$' -fuzz='^FuzzParseTLE$$' -fuzztime=10s ./internal/orbit/
+	$(GO) test -run='^$$' -fuzz='^FuzzRead$$' -fuzztime=10s ./internal/trace/
+	$(GO) test -run='^$$' -fuzz='^FuzzSort$$' -fuzztime=10s ./internal/trace/
 
 ## obs: end-to-end observability smoke — live /metrics + pprof scrape during
 ## a TCP replay, then span summarisation with starcdn-trace (DESIGN.md §9).

@@ -96,9 +96,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := m.ValidateRates(); err != nil {
-			log.Fatal(err)
-		}
 		gen, err := spacegen.NewGenerator(m, *seed)
 		if err != nil {
 			log.Fatal(err)

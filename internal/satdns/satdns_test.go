@@ -42,12 +42,18 @@ func newFixture(t *testing.T) (*Server, *Client, *simClock, *sched.Scheduler) {
 	}
 	// A polar user that never resolves in a 53-degree shell.
 	users = append(users, geo.NewPoint(89.5, 0))
-	s, err := sched.New(c, users, 15, 3)
-	if err != nil {
-		t.Fatal(err)
+	// A Scheduler is not safe for concurrent use and the server's goroutine
+	// owns its one, so the tests check answers against an identically
+	// configured twin.
+	newSched := func() *sched.Scheduler {
+		s, err := sched.New(c, users, 15, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
 	clock := &simClock{}
-	srv, err := NewServer(s, clock.Now)
+	srv, err := NewServer(newSched(), clock.Now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +63,7 @@ func newFixture(t *testing.T) (*Server, *Client, *simClock, *sched.Scheduler) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cl.Close() })
-	return srv, cl, clock, s
+	return srv, cl, clock, newSched()
 }
 
 func TestResolveMatchesScheduler(t *testing.T) {

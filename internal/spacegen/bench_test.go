@@ -18,8 +18,7 @@ func BenchmarkByteListInsert(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e, _ := l.PopFront()
-		l.InsertAtBytes(e, rng.Int63n(total))
+		l.InsertAtBytes(l.PopFront(), rng.Int63n(total))
 	}
 }
 

@@ -1,12 +1,16 @@
 package spacegen
 
-import "starcdn/internal/cache"
+import (
+	"math"
+
+	"starcdn/internal/cache"
+)
 
 // Entry is one object inside an Algorithm-1 generation cache.
 type Entry struct {
 	Obj  cache.ObjectID
 	Size int64
-	Pop  int64 // remaining popularity (requests still owed) at this location
+	Pop  int64 // popularity: requests owed in all at this location (blNode.sent counts those emitted)
 }
 
 // byteList is an ordered list of entries supporting O(log n) insertion at a
@@ -15,6 +19,11 @@ type Entry struct {
 // at the top is the next to be requested, and after a request the object is
 // reinserted at its sampled stack distance d, i.e. after roughly d bytes of
 // other objects.
+//
+// The list order is a function of the sequence of pops and inserts alone:
+// every operation places its entry by list position (a byte offset), never
+// by priority. Priorities only shape the tree, so the order does not depend
+// on them, nor on whether a reinserted node keeps its old priority.
 type byteList struct {
 	root *blNode
 	rng  splitmix
@@ -26,6 +35,9 @@ type blNode struct {
 	left, right *blNode
 	bytes       int64 // subtree byte sum
 	count       int   // subtree node count
+	// sent counts the requests Algorithm 1 has emitted for this entry; the
+	// generator retires the entry when it reaches entry.Pop.
+	sent int64
 }
 
 // splitmix is a tiny deterministic PRNG for treap priorities.
@@ -40,6 +52,11 @@ func (s *splitmix) next() uint64 {
 }
 
 func newByteList(seed uint64) *byteList { return &byteList{rng: splitmix(seed)} }
+
+// newNode returns a detached node holding e.
+func (l *byteList) newNode(e Entry) *blNode {
+	return &blNode{entry: e, pri: l.rng.next()}
+}
 
 func (n *blNode) update() {
 	n.bytes = n.entry.Size
@@ -95,55 +112,31 @@ func splitBytes(t *blNode, limit int64) (a, b *blNode) {
 	return aa, t
 }
 
-func merge(a, b *blNode) *blNode {
-	switch {
-	case a == nil:
-		return b
-	case b == nil:
-		return a
-	case a.pri >= b.pri:
-		a.right = merge(a.right, b)
-		a.update()
-		return a
-	default:
-		b.left = merge(a, b.left)
-		b.update()
-		return b
-	}
-}
-
 // PushBack appends an entry at the end of the list.
-func (l *byteList) PushBack(e Entry) {
-	n := &blNode{entry: e, pri: l.rng.next()}
-	n.update()
-	l.root = merge(l.root, n)
-}
+func (l *byteList) PushBack(e Entry) { l.InsertAtBytes(l.newNode(e), math.MaxInt64) }
 
 // PushFront prepends an entry at the head of the list.
-func (l *byteList) PushFront(e Entry) {
-	n := &blNode{entry: e, pri: l.rng.next()}
-	n.update()
-	l.root = merge(n, l.root)
-}
+func (l *byteList) PushFront(e Entry) { l.InsertAtBytes(l.newNode(e), -1) }
 
-// PopFront removes and returns the first entry.
-func (l *byteList) PopFront() (Entry, bool) {
-	if l.root == nil {
-		return Entry{}, false
+// PopFront unlinks and returns the first node, or nil if the list is empty.
+// The node keeps its entry, priority and sent count, so it can go back in
+// with InsertAtBytes, which also resets its stale child links.
+func (l *byteList) PopFront() *blNode {
+	n := l.root
+	if n == nil {
+		return nil
 	}
-	var popped Entry
-	var pop func(t *blNode) *blNode
-	pop = func(t *blNode) *blNode {
-		if t.left == nil {
-			popped = t.entry
-			return t.right
-		}
-		t.left = pop(t.left)
-		t.update()
-		return t
+	for n.left != nil {
+		n = n.left
 	}
-	l.root = pop(l.root)
-	return popped, true
+	link := &l.root
+	for t := l.root; t != n; t = t.left {
+		t.bytes -= n.entry.Size
+		t.count--
+		link = &t.left
+	}
+	*link = n.right
+	return n
 }
 
 // PeekFront returns the first entry without removing it.
@@ -158,13 +151,34 @@ func (l *byteList) PeekFront() (Entry, bool) {
 	return t.entry, true
 }
 
-// InsertAtBytes inserts e so that the total size of entries preceding it is
-// at most d bytes (Algorithm 1, line 28). d past the end appends.
-func (l *byteList) InsertAtBytes(e Entry, d int64) {
-	n := &blNode{entry: e, pri: l.rng.next()}
+// InsertAtBytes inserts the detached node n so that the total size of
+// entries preceding it is at most d bytes (Algorithm 1, line 28). d past the
+// end appends; a negative d prepends.
+//
+// It is one top-down descent: while the current subtree's root outranks n,
+// n's bytes and count are added to it and the descent moves to the side
+// holding offset d. Where n outranks the root (or the path ends), only that
+// subtree is split at the remaining offset, and its halves become n's
+// children.
+func (l *byteList) InsertAtBytes(n *blNode, d int64) {
+	link := &l.root
+	for t := l.root; t != nil && t.pri >= n.pri; t = *link {
+		t.bytes += n.entry.Size
+		t.count++
+		leftBytes := int64(0)
+		if t.left != nil {
+			leftBytes = t.left.bytes
+		}
+		if leftBytes+t.entry.Size <= d {
+			d -= leftBytes + t.entry.Size
+			link = &t.right
+		} else {
+			link = &t.left
+		}
+	}
+	n.left, n.right = splitBytes(*link, d)
 	n.update()
-	a, b := splitBytes(l.root, d)
-	l.root = merge(merge(a, n), b)
+	*link = n
 }
 
 // walk applies f to every entry in list order (for tests and accounting).

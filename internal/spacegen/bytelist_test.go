@@ -15,7 +15,7 @@ func entries(l *byteList) []Entry {
 
 func TestByteListPushPop(t *testing.T) {
 	l := newByteList(1)
-	if _, ok := l.PopFront(); ok {
+	if l.PopFront() != nil {
 		t.Error("pop from empty list should fail")
 	}
 	if _, ok := l.PeekFront(); ok {
@@ -34,9 +34,9 @@ func TestByteListPushPop(t *testing.T) {
 		t.Errorf("peek = %+v", e)
 	}
 	for i := 1; i <= 5; i++ {
-		e, ok := l.PopFront()
-		if !ok || e.Size != int64(i*10) {
-			t.Fatalf("pop %d = %+v, ok=%v", i, e, ok)
+		n := l.PopFront()
+		if n == nil || n.entry.Size != int64(i*10) {
+			t.Fatalf("pop %d = %+v", i, n)
 		}
 	}
 	if l.Len() != 0 || l.TotalBytes() != 0 {
@@ -48,8 +48,8 @@ func TestByteListPushFront(t *testing.T) {
 	l := newByteList(2)
 	l.PushBack(Entry{Obj: 1, Size: 10})
 	l.PushFront(Entry{Obj: 2, Size: 20})
-	if e, _ := l.PopFront(); e.Obj != 2 {
-		t.Errorf("front = %v, want 2", e.Obj)
+	if n := l.PopFront(); n.entry.Obj != 2 {
+		t.Errorf("front = %v, want 2", n.entry.Obj)
 	}
 }
 
@@ -60,7 +60,7 @@ func TestInsertAtBytes(t *testing.T) {
 	}
 	// Insert after 250 bytes: entries sum 100,200,300 — the maximal prefix
 	// <= 250 is two entries, so the new entry lands at index 2.
-	l.InsertAtBytes(Entry{Obj: 999, Size: 1}, 250)
+	l.InsertAtBytes(l.newNode(Entry{Obj: 999, Size: 1}), 250)
 	es := entries(l)
 	if len(es) != 5 {
 		t.Fatalf("len = %d", len(es))
@@ -72,12 +72,12 @@ func TestInsertAtBytes(t *testing.T) {
 		t.Fatalf("inserted entry at wrong position")
 	}
 	// Insert at 0 goes to the front.
-	l.InsertAtBytes(Entry{Obj: 888, Size: 1}, 0)
+	l.InsertAtBytes(l.newNode(Entry{Obj: 888, Size: 1}), 0)
 	if e, _ := l.PeekFront(); e.Obj != 888 {
 		t.Error("insert at 0 should be the head")
 	}
 	// Insert beyond the end appends.
-	l.InsertAtBytes(Entry{Obj: 777, Size: 1}, 1<<40)
+	l.InsertAtBytes(l.newNode(Entry{Obj: 777, Size: 1}), 1<<40)
 	es = entries(l)
 	if es[len(es)-1].Obj != 777 {
 		t.Error("insert past end should append")
@@ -111,19 +111,19 @@ func TestByteListRandomizedAgainstSlice(t *testing.T) {
 		case 1:
 			e := Entry{Obj: cache.ObjectID(rng.Intn(50)), Size: int64(1 + rng.Intn(100))}
 			d := int64(rng.Intn(4000))
-			l.InsertAtBytes(e, d)
+			l.InsertAtBytes(l.newNode(e), d)
 			insertRef(e, d)
 		case 2:
-			got, ok := l.PopFront()
+			got := l.PopFront()
 			if len(ref) == 0 {
-				if ok {
+				if got != nil {
 					t.Fatal("pop from empty should fail")
 				}
 				continue
 			}
 			want := ref[0]
 			ref = ref[1:]
-			if !ok || got != want {
+			if got == nil || got.entry != want {
 				t.Fatalf("op %d: pop = %+v, want %+v", op, got, want)
 			}
 		}

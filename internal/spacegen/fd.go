@@ -101,25 +101,40 @@ func (p *PFD) RateAt(frac float64) float64 {
 // popularity and size. Unseen (p, s) bins fall back to the nearest populated
 // popularity bin at the same size bucket, then to the marginal distribution.
 func (p *PFD) SampleStackDistance(rng *rand.Rand, pop, size int64) int64 {
-	k := keyFor(pop, size)
+	return p.drawDistance(rng, p.distances(keyFor(pop, size)))
+}
+
+// distances returns the sample set SampleStackDistance draws from for bin k:
+// the bin itself, else the nearest populated popularity bin at the same
+// size bucket, else the marginal distribution (nil if that is empty too).
+func (p *PFD) distances(k binKey) []int64 {
 	if ds := p.bins[k]; len(ds) > 0 {
-		return ds[rng.Intn(len(ds))]
+		return ds
 	}
 	// Nearest populated popularity bucket with the same size bucket.
 	for delta := uint8(1); delta < 64; delta++ {
 		if k.p >= delta {
 			if ds := p.bins[binKey{p: k.p - delta, s: k.s}]; len(ds) > 0 {
-				return ds[rng.Intn(len(ds))]
+				return ds
 			}
 		}
 		if ds := p.bins[binKey{p: k.p + delta, s: k.s}]; len(ds) > 0 {
-			return ds[rng.Intn(len(ds))]
+			return ds
 		}
 	}
 	if len(p.fallback) > 0 {
-		return p.fallback[rng.Intn(len(p.fallback))]
+		return p.fallback
 	}
-	return p.MaxStackDist
+	return nil
+}
+
+// drawDistance draws uniformly from ds, or returns MaxStackDist without
+// touching rng when ds is empty.
+func (p *PFD) drawDistance(rng *rand.Rand, ds []int64) int64 {
+	if len(ds) == 0 {
+		return p.MaxStackDist
+	}
+	return ds[rng.Intn(len(ds))]
 }
 
 // Models bundles the fitted GPD and the per-location pFDs.
@@ -142,27 +157,47 @@ func Fit(tr *trace.Trace) (*Models, error) {
 		return nil, fmt.Errorf("spacegen: %w", err)
 	}
 
-	// Popularity per object per location, and size per object. Objects are
-	// kept in first-appearance order so fitting is deterministic (the tuple
-	// order feeds the generator's sampling).
-	pops := make(map[cache.ObjectID][]int64)
-	sizes := make(map[cache.ObjectID]int64)
-	var order []cache.ObjectID
+	// Objects get dense indices in first-appearance order, so fitting is
+	// deterministic (the tuple order feeds the generator's sampling) and
+	// per-object state lives in slices: obj[i] is request i's object, and
+	// pops[o*n+loc] the popularity of object o at loc. size holds each
+	// object's last-seen size.
+	nReq := tr.Len()
+	index := make(map[cache.ObjectID]int, nReq/4+1)
+	obj := make([]int, nReq)
+	var pops, size []int64
+	first := make([]int, n+1) // counts per location, shifted by one; see byLoc
 	for i := range tr.Requests {
 		r := &tr.Requests[i]
-		v, ok := pops[r.Object]
+		o, ok := index[r.Object]
 		if !ok {
-			v = make([]int64, n)
-			pops[r.Object] = v
-			order = append(order, r.Object)
+			o = len(size)
+			index[r.Object] = o
+			size = append(size, 0)
+			pops = append(pops, make([]int64, n)...)
 		}
-		v[r.Location]++
-		sizes[r.Object] = r.Size
+		obj[i] = o
+		size[o] = r.Size
+		pops[o*n+r.Location]++
+		first[r.Location+1]++
 	}
 	gpd := &GPD{Locations: append([]string(nil), tr.Locations...)}
-	gpd.Tuples = make([]GPDTuple, 0, len(order))
-	for _, obj := range order {
-		gpd.Tuples = append(gpd.Tuples, GPDTuple{Pops: pops[obj], Size: sizes[obj]})
+	gpd.Tuples = make([]GPDTuple, len(size))
+	for o := range gpd.Tuples {
+		gpd.Tuples[o] = GPDTuple{Pops: pops[o*n : (o+1)*n : (o+1)*n], Size: size[o]}
+	}
+
+	// Group request indices by location, each group in trace order:
+	// byLoc[first[loc]:first[loc+1]] is location loc's sub-trace.
+	for loc := 0; loc < n; loc++ {
+		first[loc+1] += first[loc]
+	}
+	byLoc := make([]int, nReq)
+	next := append([]int(nil), first[:n]...)
+	for i := range tr.Requests {
+		loc := tr.Requests[i].Location
+		byLoc[next[loc]] = i
+		next[loc]++
 	}
 
 	// Per-location stack distances.
@@ -171,17 +206,18 @@ func Fit(tr *trace.Trace) (*Models, error) {
 		duration = 1
 	}
 	pfds := make([]*PFD, n)
-	perLoc := tr.SplitByLocation()
+	lastPos := make([]int, len(size))
 	for loc := 0; loc < n; loc++ {
-		sub := perLoc[loc]
+		sub := byLoc[first[loc]:first[loc+1]]
 		pfd := &PFD{
 			Location:         tr.Locations[loc],
-			ReqRate:          float64(sub.Len()) / duration,
-			RateProfile:      fitRateProfile(sub, tr.Requests[0].TimeSec, duration),
+			ReqRate:          float64(len(sub)) / duration,
+			RateProfile:      fitRateProfile(tr, sub, tr.Requests[0].TimeSec, duration),
 			ProfilePeriodSec: duration,
 			bins:             make(map[binKey][]int64),
 		}
-		fitStackDistances(sub, pops, loc, pfd)
+		clear(lastPos)
+		fitStackDistances(tr, sub, obj, pops[loc:], n, lastPos, pfd)
 		pfds[loc] = pfd
 	}
 	return &Models{GPD: gpd, PFDs: pfds}, nil
@@ -192,18 +228,19 @@ func Fit(tr *trace.Trace) (*Models, error) {
 // traces without overfitting short ones).
 const rateProfileWindows = 24
 
-// fitRateProfile histograms a location's request times into windows and
-// normalises to mean 1. Empty sub-traces fit a flat profile.
-func fitRateProfile(sub *trace.Trace, startSec, duration float64) []float64 {
+// fitRateProfile histograms a location's request times (sub indexes
+// tr.Requests) into windows and normalises to mean 1. Empty sub-traces fit
+// a flat profile.
+func fitRateProfile(tr *trace.Trace, sub []int, startSec, duration float64) []float64 {
 	profile := make([]float64, rateProfileWindows)
-	if sub.Len() == 0 || duration <= 0 {
+	if len(sub) == 0 || duration <= 0 {
 		for i := range profile {
 			profile[i] = 1
 		}
 		return profile
 	}
-	for i := range sub.Requests {
-		frac := (sub.Requests[i].TimeSec - startSec) / duration
+	for _, ri := range sub {
+		frac := (tr.Requests[ri].TimeSec - startSec) / duration
 		idx := int(frac * rateProfileWindows)
 		if idx < 0 {
 			idx = 0
@@ -213,55 +250,47 @@ func fitRateProfile(sub *trace.Trace, startSec, duration float64) []float64 {
 		}
 		profile[idx]++
 	}
-	mean := float64(sub.Len()) / rateProfileWindows
+	mean := float64(len(sub)) / rateProfileWindows
 	for i := range profile {
 		profile[i] /= mean
 	}
 	return profile
 }
 
-// fitStackDistances computes, for every non-first access of each object at
-// this location, the number of unique bytes requested since the previous
-// access of the same object, using a Fenwick tree over access positions.
-func fitStackDistances(sub *trace.Trace, pops map[cache.ObjectID][]int64, loc int, pfd *PFD) {
-	nReq := sub.Len()
-	fen := newFenwick(nReq + 1)
-	lastPos := make(map[cache.ObjectID]int, nReq/4+1)
-	for i := range sub.Requests {
-		r := &sub.Requests[i]
+// fitStackDistances computes, for every non-first access of each object in
+// one location's sub-trace (sub indexes tr.Requests), the number of unique
+// bytes requested since the previous access of the same object, using a
+// Fenwick tree over access positions. obj maps requests to dense object
+// indices, locPops[o*stride] is object o's popularity at this location, and
+// lastPos (all zero on entry) is scratch indexed by object.
+func fitStackDistances(tr *trace.Trace, sub, obj []int, locPops []int64, stride int, lastPos []int, pfd *PFD) {
+	fen := newFenwick(len(sub) + 1)
+	var footprint int64 // unique bytes, for traces with no reuse
+	for i, ri := range sub {
+		r := &tr.Requests[ri]
+		o := obj[ri]
 		pos := i + 1 // Fenwick positions are 1-based
-		if prev, seen := lastPos[r.Object]; seen {
+		if prev := lastPos[o]; prev > 0 {
 			// Unique bytes between the accesses: every object whose latest
 			// access lies strictly between prev and pos contributes once.
 			d := fen.sum(pos-1) - fen.sum(prev)
-			pop := pops[r.Object][loc]
-			k := keyFor(pop, r.Size)
+			k := keyFor(locPops[o*stride], r.Size)
 			pfd.bins[k] = append(pfd.bins[k], d)
 			pfd.fallback = append(pfd.fallback, d)
 			if d > pfd.MaxStackDist {
 				pfd.MaxStackDist = d
 			}
 			fen.add(prev, -r.Size) // clear the stale latest-position marker
+		} else {
+			footprint += r.Size
 		}
 		fen.add(pos, r.Size)
-		lastPos[r.Object] = pos
+		lastPos[o] = pos
 	}
 	if pfd.MaxStackDist == 0 {
 		// Degenerate trace with no reuse: pick the total footprint so the
 		// generator still initialises.
-		var total int64
-		seen := map[cache.ObjectID]bool{}
-		for i := range sub.Requests {
-			r := &sub.Requests[i]
-			if !seen[r.Object] {
-				seen[r.Object] = true
-				total += r.Size
-			}
-		}
-		if total == 0 {
-			total = 1
-		}
-		pfd.MaxStackDist = total
+		pfd.MaxStackDist = max(footprint, 1)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"starcdn/internal/cache"
 	"starcdn/internal/trace"
@@ -16,8 +17,13 @@ type Generator struct {
 	rng    *rand.Rand
 	// caches[i] is the generation cache C_i for location i.
 	caches []*byteList
-	// reqCnt[i] counts requests already emitted per object at location i.
-	reqCnt []map[cache.ObjectID]int64
+	// dists[i] holds location i's stack-distance sample set for every
+	// (popularity, size) bin a GPD tuple can produce, resolved once at
+	// construction (see distBin). A nil set means the pFD has none, and
+	// draws return its MaxStackDist.
+	dists [][][]int64
+	// popBins is the number of popularity bins in each dists[i] row.
+	popBins int
 	// nextObj allocates synthetic object IDs.
 	nextObj cache.ObjectID
 }
@@ -32,6 +38,9 @@ func NewGenerator(models *Models, seed int64) (*Generator, error) {
 		return nil, fmt.Errorf("spacegen: %d pFDs for %d locations",
 			len(models.PFDs), len(models.GPD.Locations))
 	}
+	if err := models.ValidateRates(); err != nil {
+		return nil, err
+	}
 	g := &Generator{
 		models:  models,
 		rng:     rand.New(rand.NewSource(seed)),
@@ -39,13 +48,44 @@ func NewGenerator(models *Models, seed int64) (*Generator, error) {
 	}
 	n := len(models.GPD.Locations)
 	g.caches = make([]*byteList, n)
-	g.reqCnt = make([]map[cache.ObjectID]int64, n)
 	for i := 0; i < n; i++ {
 		g.caches[i] = newByteList(uint64(seed) + uint64(i)*0x1000193 + 1)
-		g.reqCnt[i] = make(map[cache.ObjectID]int64)
 	}
+	g.resolveBins()
 	g.initialize()
 	return g, nil
+}
+
+// resolveBins fills dists: every entry the generator creates carries a
+// (popularity, size) pair from some GPD tuple, so the bins those pairs fall
+// in bound the table, and each cell holds what PFD.SampleStackDistance's
+// bin search would find for it.
+func (g *Generator) resolveBins() {
+	var maxP, maxS uint8
+	for _, tup := range g.models.GPD.Tuples {
+		s := log2Bucket(tup.Size >> 10)
+		for _, p := range tup.Pops {
+			if p > 0 {
+				maxP = max(maxP, log2Bucket(p))
+				maxS = max(maxS, s)
+			}
+		}
+	}
+	g.popBins = int(maxP) + 1
+	g.dists = make([][][]int64, len(g.models.PFDs))
+	for i, pfd := range g.models.PFDs {
+		row := make([][]int64, g.popBins*(int(maxS)+1))
+		for j := range row {
+			row[j] = pfd.distances(binKey{p: uint8(j % g.popBins), s: uint8(j / g.popBins)})
+		}
+		g.dists[i] = row
+	}
+}
+
+// distBin returns location i's stack-distance sample set for an entry.
+func (g *Generator) distBin(i int, e *Entry) []int64 {
+	k := keyFor(e.Pop, e.Size)
+	return g.dists[i][int(k.s)*g.popBins+int(k.p)]
 }
 
 // sampleObject draws a fresh object from the GPD and inserts it at the back
@@ -90,7 +130,10 @@ func (g *Generator) Generate(totalRequests int) (*trace.Trace, error) {
 		return nil, fmt.Errorf("spacegen: totalRequests must be positive")
 	}
 	n := len(g.caches)
-	tr := &trace.Trace{Locations: append([]string(nil), g.models.GPD.Locations...)}
+	tr := &trace.Trace{
+		Locations: append([]string(nil), g.models.GPD.Locations...),
+		Requests:  make([]trace.Request, 0, totalRequests),
+	}
 	counter := make([]float64, n)
 	emitted := 0
 	for tick := 0; emitted < totalRequests; tick++ {
@@ -130,52 +173,60 @@ func allRatesZero(pfds []*PFD) bool {
 }
 
 // emitOne pops the head of cache i, appends a request, and reinserts or
-// replaces the object (Algorithm 1, lines 22-29).
+// replaces the object (Algorithm 1, lines 22-29). A reinsert moves the
+// popped node itself; only a retirement allocates, for the nodes of the
+// replacement object.
 func (g *Generator) emitOne(tr *trace.Trace, i int, tickTime float64, emitThisTick *int) bool {
-	e, ok := g.caches[i].PopFront()
-	if !ok {
+	c := g.caches[i]
+	n := c.PopFront()
+	if n == nil {
 		// Cache drained (all popularity spent): resample until non-empty.
-		for attempts := 0; attempts < 10000 && g.caches[i].Len() == 0; attempts++ {
+		for attempts := 0; attempts < 10000 && c.Len() == 0; attempts++ {
 			g.sampleObject()
 		}
-		e, ok = g.caches[i].PopFront()
-		if !ok {
+		if n = c.PopFront(); n == nil {
 			return false
 		}
 	}
 	// Sub-tick offset keeps same-tick requests ordered but distinct.
 	*emitThisTick++
+	e := &n.entry
 	tr.Append(trace.Request{
 		TimeSec:  tickTime + float64(*emitThisTick)*1e-4,
 		Object:   e.Obj,
 		Size:     e.Size,
 		Location: i,
 	})
-	g.reqCnt[i][e.Obj]++
-	if g.reqCnt[i][e.Obj] >= e.Pop {
+	n.sent++
+	if n.sent >= e.Pop {
 		// Popularity exhausted at this location: retire and replace.
-		delete(g.reqCnt[i], e.Obj)
 		g.sampleObject()
 		return true
 	}
-	d := g.models.PFDs[i].SampleStackDistance(g.rng, e.Pop, e.Size)
-	g.caches[i].InsertAtBytes(e, d)
+	d := g.models.PFDs[i].drawDistance(g.rng, g.distBin(i, e))
+	c.InsertAtBytes(n, d)
 	return true
 }
 
 // Emitted sub-tick offsets are 1e-4 apart; ticks are 1 s, so a tick holds up
 // to 10,000 ordered requests per location before offsets would collide with
-// the next tick. Guard against absurd rates at construction time instead of
-// silently misordering.
+// the next tick. NewGenerator refuses models whose peak rate could get
+// there instead of silently misordering.
 const maxPerLocationTickRate = 9000
 
-// ValidateRates returns an error if any location's fitted request rate would
-// overflow the per-tick timestamp budget.
+// ValidateRates returns an error if any location's peak request rate — the
+// fitted mean rate times the largest rate-profile multiplier, which is what
+// Generate emits in that profile window's ticks — would overflow the
+// per-tick timestamp budget.
 func (m *Models) ValidateRates() error {
 	for _, p := range m.PFDs {
-		if p.ReqRate > maxPerLocationTickRate {
-			return fmt.Errorf("spacegen: location %q rate %.0f req/s exceeds %d",
-				p.Location, p.ReqRate, maxPerLocationTickRate)
+		peak := p.ReqRate
+		if p.ProfilePeriodSec > 0 && len(p.RateProfile) > 0 {
+			peak *= slices.Max(p.RateProfile)
+		}
+		if !(peak <= maxPerLocationTickRate) {
+			return fmt.Errorf("spacegen: location %q peak rate %.0f req/s exceeds %d",
+				p.Location, peak, maxPerLocationTickRate)
 		}
 	}
 	return nil

@@ -413,3 +413,38 @@ func TestRateProfilePreservesDiurnalShape(t *testing.T) {
 		t.Errorf("synthetic diurnal swing too weak: min=%d max=%d", minH, maxH)
 	}
 }
+
+// TestPeakRateGuard checks the sub-tick timestamp guard against the rate
+// Generate actually emits: a location whose mean rate fits the per-tick
+// budget but whose busiest profile window does not is refused, by
+// ValidateRates and by NewGenerator, instead of spilling timestamps into
+// the next tick.
+func TestPeakRateGuard(t *testing.T) {
+	model := func(rate, period float64, profile ...float64) *Models {
+		return &Models{
+			GPD: &GPD{Locations: []string{"a"}, Tuples: []GPDTuple{{Pops: []int64{5}, Size: 10}}},
+			PFDs: []*PFD{{Location: "a", ReqRate: rate, MaxStackDist: 10,
+				RateProfile: profile, ProfilePeriodSec: period, bins: map[binKey][]int64{}}},
+		}
+	}
+	cases := []struct {
+		name string
+		m    *Models
+		ok   bool
+	}{
+		{"mean and peak under", model(5000, 100, 0.5, 1.5), true},
+		{"mean under, peak over", model(8000, 100, 0.5, 1.5), false},
+		{"flat at the limit", model(9000, 100, 1, 1), true},
+		{"mean over", model(9500, 0), false},
+		// Without a profile period Generate emits the mean rate.
+		{"profile unused", model(8000, 0, 0.5, 1.5), true},
+		{"NaN profile", model(100, 100, math.NaN(), 1), false},
+	}
+	for _, c := range cases {
+		verr := c.m.ValidateRates()
+		_, gerr := NewGenerator(c.m, 1)
+		if (verr == nil) != c.ok || (gerr == nil) != c.ok {
+			t.Errorf("%s: ValidateRates = %v, NewGenerator = %v, want ok=%v", c.name, verr, gerr, c.ok)
+		}
+	}
+}

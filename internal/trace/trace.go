@@ -11,7 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"math"
 
 	"starcdn/internal/cache"
 )
@@ -34,12 +34,81 @@ type Trace struct {
 // Append adds a request; callers should keep time monotone or call Sort.
 func (t *Trace) Append(r Request) { t.Requests = append(t.Requests, r) }
 
-// Sort orders requests by time (stable, so same-time requests keep their
-// generation order).
+// Sort orders requests by TimeSec. It is stable: same-time requests keep
+// their generation order, so for finite times the result is the one stable
+// order. A NaN time has no place in that order and leaves the result
+// unspecified; Validate rejects such traces.
+//
+// Sort is a bottom-up merge sort: insertion-sorted runs of sortRun
+// requests, then passes that merge neighbouring runs of doubling width.
+// Two runs already in order are left alone, and a merge buffers only the
+// left run's suffix that overlaps the right run, in one scratch buffer
+// allocated for the call. Nearly sorted input (SpaceGEN's per-tick output)
+// therefore costs little more than a scan.
 func (t *Trace) Sort() {
-	sort.SliceStable(t.Requests, func(i, j int) bool {
-		return t.Requests[i].TimeSec < t.Requests[j].TimeSec
-	})
+	a := t.Requests
+	n := len(a)
+	for lo := 0; lo < n; lo += sortRun {
+		insertionSort(a[lo:min(lo+sortRun, n)])
+	}
+	var buf []Request
+	for width := sortRun; width < n; width *= 2 {
+		for lo := 0; lo+width < n; lo += 2 * width {
+			buf = mergeRuns(a[lo:min(lo+2*width, n)], width, buf)
+		}
+	}
+}
+
+// sortRun is the length of the runs Sort insertion-sorts before merging.
+const sortRun = 32
+
+func insertionSort(a []Request) {
+	for i := 1; i < len(a); i++ {
+		r := a[i]
+		j := i
+		for ; j > 0 && r.TimeSec < a[j-1].TimeSec; j-- {
+			a[j] = a[j-1]
+		}
+		a[j] = r
+	}
+}
+
+// mergeRuns stably merges the sorted runs a[:mid] and a[mid:] in place; on
+// equal times the left run's request comes first. The left run's requests
+// that sort after a[mid] are moved to buf first, which is replaced by one
+// of the run's width if too small; the buf to use next is returned.
+func mergeRuns(a []Request, mid int, buf []Request) []Request {
+	y0 := a[mid].TimeSec
+	if !(y0 < a[mid-1].TimeSec) {
+		return buf // already in order
+	}
+	// The first left request that sorts after y0 (binary search; the left
+	// run is sorted).
+	i, j := 0, mid-1
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if y0 < a[h].TimeSec {
+			j = h
+		} else {
+			i = h + 1
+		}
+	}
+	if len(buf) < mid-i {
+		buf = make([]Request, mid) // mid is the pass's run width
+	}
+	x := buf[:copy(buf, a[i:mid])]
+	p, k := 0, i
+	for j = mid; p < len(x) && j < len(a); k++ {
+		if a[j].TimeSec < x[p].TimeSec {
+			a[k] = a[j]
+			j++
+		} else {
+			a[k] = x[p]
+			p++
+		}
+	}
+	copy(a[k:], x[p:]) // the right run's rest is already in place
+	return buf
 }
 
 // Len returns the number of requests.
@@ -90,11 +159,14 @@ func (t *Trace) SplitByLocation() []*Trace {
 	return out
 }
 
-// Validate checks structural invariants: non-negative monotone time,
-// positive sizes, and in-range location indices.
+// Validate checks structural invariants: finite, non-negative, monotone
+// time, positive sizes, and in-range location indices.
 func (t *Trace) Validate() error {
 	last := -1.0
 	for i, r := range t.Requests {
+		if math.IsNaN(r.TimeSec) || math.IsInf(r.TimeSec, 0) {
+			return fmt.Errorf("trace: request %d has non-finite time %v", i, r.TimeSec)
+		}
 		if r.TimeSec < 0 {
 			return fmt.Errorf("trace: request %d has negative time %v", i, r.TimeSec)
 		}

@@ -195,3 +195,33 @@ func TestWriteText(t *testing.T) {
 		t.Errorf("lines = %d", len(lines))
 	}
 }
+
+func TestValidateNonFinite(t *testing.T) {
+	req := func(tm float64) Request { return Request{TimeSec: tm, Object: 1, Size: 1} }
+	cases := []struct {
+		name  string
+		times []float64
+		index string
+	}{
+		{"NaN first", []float64{math.NaN(), 1, 2}, "request 0 "},
+		// Once a NaN passed, it became the last time and every later
+		// out-of-order request passed too.
+		{"NaN mid-trace then out of order", []float64{1, 2, math.NaN(), 1, 0.5}, "request 2 "},
+		{"+Inf", []float64{0, math.Inf(1)}, "request 1 "},
+		{"-Inf", []float64{math.Inf(-1), 0}, "request 0 "},
+	}
+	for _, c := range cases {
+		tr := &Trace{Locations: []string{"a"}}
+		for _, tm := range c.times {
+			tr.Append(req(tm))
+		}
+		err := tr.Validate()
+		if err == nil {
+			t.Errorf("%s: accepted", c.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.index) || !strings.Contains(err.Error(), "non-finite") {
+			t.Errorf("%s: error %q should name %q as non-finite", c.name, err, c.index)
+		}
+	}
+}

@@ -46,7 +46,8 @@ func GenerateMixed(mixes []Mix, cities []geo.City, seed int64, totalRequests int
 		}
 		shareSum += m.Share
 	}
-	out := &trace.Trace{}
+	// Each class's per-city rounding adds at most one request per city.
+	out := &trace.Trace{Requests: make([]trace.Request, 0, max(totalRequests, 0)+len(mixes)*len(cities))}
 	for k, m := range mixes {
 		g, err := NewGenerator(m.Class, cities, seed+int64(k)*7919)
 		if err != nil {

@@ -323,7 +323,11 @@ func (g *Generator) Generate(totalRequests int, durationSec float64) (*trace.Tra
 	if totalRequests <= 0 || durationSec <= 0 {
 		return nil, fmt.Errorf("workload: totalRequests and durationSec must be positive")
 	}
-	tr := &trace.Trace{Locations: make([]string, len(g.cities))}
+	tr := &trace.Trace{
+		Locations: make([]string, len(g.cities)),
+		// Per-city rounding adds at most one request per city.
+		Requests: make([]trace.Request, 0, totalRequests+len(g.cities)),
+	}
 	for i, c := range g.cities {
 		tr.Locations[i] = c.Name
 	}

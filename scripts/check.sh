@@ -13,7 +13,7 @@
 #                      alloc-audit drift
 #   phase 2 (build):   go build (release), go build (starcdn_debug)
 #   phase 3 (test):    go test -race, go test -tags starcdn_debug
-#   phase 4 (smoke):   chaos pass, obs smoke, bench smoke
+#   phase 4 (smoke):   chaos pass, obs smoke, bench smoke, fuzz smoke
 #   phase 5 (perf):    starcdn-bench regression gate (alloc budgets +
 #                      wall-clock bound) — alone, so its timing bound
 #                      measures the benchmark and not phase-4 contention
@@ -105,8 +105,8 @@ step_test_debug() { go test -tags starcdn_debug ./...; }
 step_chaos() {
 	go test -race -tags starcdn_debug -count=1 \
 		-run 'TestChaos|TestGenerateChaos|TestFault|TestClientRetries|TestClientExhausts|TestClientDeadline|TestServerSide|TestReplayDeadServer|TestFailureSchedule|TestShed' \
-		./internal/replayer/ ./internal/sim/
-	go test -race -tags starcdn_debug -count=1 ./internal/shed/
+		./internal/replayer/ ./internal/sim/ &&
+		go test -race -tags starcdn_debug -count=1 ./internal/shed/
 }
 
 # Live /metrics + /healthz + pprof scrape during a TCP replay, then span
@@ -115,6 +115,18 @@ step_chaos() {
 step_obs() { sh scripts/obs_smoke.sh; }
 
 step_bench() { go test -run='^$' -bench=. -benchtime=1x ./... >/dev/null; }
+
+# Every fuzz target for a short run: its seed corpus, then 10s of generated
+# inputs (go test fuzzes one target per invocation). FuzzParseTLE and
+# FuzzRead guard the TLE and binary-trace decoders, FuzzSort checks
+# Trace.Sort against the standard library's stable sort. Keep the list in
+# step with `make fuzz`. The commands are chained with && because set -e
+# does not apply inside a step body called from an || list (see spawn).
+step_fuzz() {
+	go test -run='^$' -fuzz='^FuzzParseTLE$' -fuzztime=10s ./internal/orbit/ &&
+		go test -run='^$' -fuzz='^FuzzRead$' -fuzztime=10s ./internal/trace/ &&
+		go test -run='^$' -fuzz='^FuzzSort$' -fuzztime=10s ./internal/trace/
+}
 
 # The statistical benchmark harness in CI smoke mode: one cheap run per
 # smoke-capable benchmark against the committed BENCH_core.json baselines,
@@ -202,9 +214,11 @@ gate test
 spawn chaos step_chaos
 spawn obs step_obs
 spawn bench step_bench
+spawn fuzz step_fuzz
 reap chaos "chaos pass (-race -tags starcdn_debug)"
 reap obs "obs smoke (metrics endpoint + span tracing)"
 reap bench "bench smoke (-bench=. -benchtime=1x)"
+reap fuzz "fuzz smoke (each target, -fuzztime=10s)"
 gate smoke
 
 spawn benchgate step_benchgate
